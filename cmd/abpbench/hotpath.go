@@ -17,23 +17,24 @@ import (
 	"worksteal/internal/workload"
 )
 
-// The hotpath experiment is the measurement half of the abporder analyzer:
-// it times the deque owner operations (PushBottom/PopBottom, the paper's
-// Figure 5 fast path) and the thief's PopTop CAS with sequentially
-// consistent atomics versus the proof-gated RelaxedAtomics downgrades, and
-// then runs a full spawn-tree graph under both modes so the microbenchmark
-// delta can be read against end-to-end effect. Go's sync/atomic is always
-// sequentially consistent, so the only instruction-level difference is the
-// handful of owner loads and owner counter RMWs demoted to plain accesses;
-// the expected delta is small and that smallness is itself the result.
+// The hotpath experiment prices the deque operations the paper's Figure 5
+// pays synchronization for: the owner's PushBottom/PopBottom fast path
+// (whose popBottom carries the store(bot)->load(age) Dekker pair) and the
+// thief's PopTop CAS, uncontended and with GOMAXPROCS thieves racing, plus
+// the contended public Submit path. It then runs a full spawn-tree graph
+// per deque kind beside a goroutines+channel contender, so the
+// microbenchmark figures can be read against end-to-end effect. Every
+// access is one of Go's sequentially consistent atomics (EXPERIMENTS.md
+// E15).
 //
-// The -check flag turns the run into a regression gate: push/pop ns/op is
-// compared against a previously written snapshot (BENCH_hotpath.json) and
-// the process exits 1 if any (deque, mode) pair slowed by more than 10%.
+// The -check flag turns the run into a regression gate against a
+// previously written snapshot (BENCH_hotpath.json): the process exits 1 if
+// any deque's push/pop ns/op slowed by more than 10%, or if the snapshot
+// gave no push/pop row to compare. The contended columns are gated only
+// when the snapshot was taken at the same GOMAXPROCS.
 
 type hotpathOpRow struct {
 	Deque     string  `json:"deque"` // abp | chaselev
-	Mode      string  `json:"mode"`  // seqcst | relaxed
 	PushPopNs float64 `json:"pushpop_ns_per_op"`
 	StealNs   float64 `json:"steal_ns_per_op"`
 	// MultiStealNs is the contended counterpart of StealNs: GOMAXPROCS
@@ -58,7 +59,6 @@ type hotpathContended struct {
 
 type hotpathGraphRow struct {
 	Deque       string  `json:"deque"`
-	Mode        string  `json:"mode"`
 	ElapsedNs   int64   `json:"elapsed_ns"`
 	Steals      int64   `json:"steals"`
 	TasksPerSec float64 `json:"tasks_per_sec"`
@@ -109,16 +109,12 @@ type ownerDeque interface {
 	PopTop() *int
 }
 
-func newHotpathDeque(kind string, relaxed bool) ownerDeque {
+func newHotpathDeque(kind string, capacity int) ownerDeque {
 	switch kind {
 	case "abp":
-		d := deque.NewWithCapacity[int](1 << 10)
-		d.SetRelaxed(relaxed)
-		return d
+		return deque.NewWithCapacity[int](capacity)
 	case "chaselev":
-		d := deque.NewChaseLev[int]()
-		d.SetRelaxed(relaxed)
-		return d
+		return deque.NewChaseLev[int]()
 	}
 	panic("unknown deque kind " + kind)
 }
@@ -128,13 +124,13 @@ func newHotpathDeque(kind string, relaxed bool) ownerDeque {
 // handshake run against a non-empty deque. Best of reps wins.
 //
 //abp:owner the benchmark goroutine is the deque's only accessor
-func benchPushPop(kind string, relaxed bool, reps int) float64 {
+func benchPushPop(kind string, reps int) float64 {
 	const batch = 64
 	const iters = 1 << 14 // 64 * 16384 = ~1M pushes and ~1M pops per rep
 	node := new(int)
 	best := 0.0
 	for r := 0; r < reps; r++ {
-		d := newHotpathDeque(kind, relaxed)
+		d := newHotpathDeque(kind, 1<<10)
 		start := time.Now()
 		for i := 0; i < iters; i++ {
 			for j := 0; j < batch; j++ {
@@ -156,13 +152,11 @@ func benchPushPop(kind string, relaxed bool, reps int) float64 {
 	return best
 }
 
-// benchSteal times the thief's PopTop CAS against a pre-filled deque. The
-// steal path is deliberately untouched by RelaxedAtomics (the top/age CAS
-// is the arbitration the paper's Figure 5 depends on), so this column
-// doubles as a control: seqcst and relaxed should coincide.
+// benchSteal times the thief's PopTop CAS — the top/age arbitration the
+// paper's Figure 5 depends on — against a pre-filled deque, uncontended.
 //
 //abp:owner the benchmark goroutine fills the deque it then steals from
-func benchSteal(kind string, relaxed bool, reps int) float64 {
+func benchSteal(kind string, reps int) float64 {
 	const n = 1 << 10
 	node := new(int)
 	best := 0.0
@@ -173,7 +167,7 @@ func benchSteal(kind string, relaxed bool, reps int) float64 {
 			// Fresh deque per round: the ABP array is not circular, so a
 			// fully stolen deque cannot be refilled from the bottom. The
 			// allocation and the refill stay outside the timed section.
-			d := newHotpathDeque(kind, relaxed)
+			d := newHotpathDeque(kind, n)
 			for j := 0; j < n; j++ {
 				if !d.PushBottom(node) {
 					panic("hotpath: push refused below capacity")
@@ -206,7 +200,7 @@ func benchSteal(kind string, relaxed bool, reps int) float64 {
 // thief-vs-thief arbitration, the §3.2 popTop contention.
 //
 //abp:owner the benchmark goroutine fills the deque before any thief starts
-func benchStealContended(kind string, relaxed bool, reps int) (float64, int) {
+func benchStealContended(kind string, reps int) (float64, int) {
 	const n = 1 << 14
 	thieves := runtime.GOMAXPROCS(0)
 	if thieves < 2 {
@@ -220,19 +214,7 @@ func benchStealContended(kind string, relaxed bool, reps int) (float64, int) {
 	node := new(int)
 	best := 0.0
 	for r := 0; r < reps*rounds; r++ {
-		var d ownerDeque
-		switch kind {
-		case "abp":
-			abp := deque.NewWithCapacity[int](n + 1)
-			abp.SetRelaxed(relaxed)
-			d = abp
-		case "chaselev":
-			cl := deque.NewChaseLev[int]()
-			cl.SetRelaxed(relaxed)
-			d = cl
-		default:
-			panic("unknown deque kind " + kind)
-		}
+		d := newHotpathDeque(kind, n+1)
 		for j := 0; j < n; j++ {
 			if !d.PushBottom(node) {
 				panic("hotpath: push refused below capacity")
@@ -428,38 +410,31 @@ func stdlibGraphRow(nodeWork, reps int) hotpathGraphRow {
 	}
 	return hotpathGraphRow{
 		Deque:       "stdlib",
-		Mode:        "goch",
 		ElapsedNs:   int64(bestD),
 		Steals:      0,
 		TasksPerSec: float64(g.Work()) / bestD.Seconds(),
 	}
 }
 
-// hotpathGraph runs the end-to-end spawn tree under one (deque, mode)
-// configuration and reports best-of-reps wall time.
-func hotpathGraph(kindName string, kind sched.DequeKind, relaxed bool, nodeWork, reps int) hotpathGraphRow {
+// hotpathGraph runs the end-to-end spawn tree on one deque kind and
+// reports best-of-reps wall time.
+func hotpathGraph(kindName string, kind sched.DequeKind, nodeWork, reps int) hotpathGraphRow {
 	g := workload.FibDag(18)
 	res := bestGraphRun(sched.GraphConfig{
-		Graph:          g,
-		Workers:        runtime.GOMAXPROCS(0),
-		NodeWork:       nodeWork,
-		Deque:          kind,
-		RelaxedAtomics: relaxed,
+		Graph:    g,
+		Workers:  runtime.GOMAXPROCS(0),
+		NodeWork: nodeWork,
+		Deque:    kind,
 	}, reps)
-	mode := "seqcst"
-	if relaxed {
-		mode = "relaxed"
-	}
 	return hotpathGraphRow{
 		Deque:       kindName,
-		Mode:        mode,
 		ElapsedNs:   int64(res.Elapsed),
 		Steals:      res.Steals,
 		TasksPerSec: float64(g.Work()) / res.Elapsed.Seconds(),
 	}
 }
 
-// hotpathExperiment measures every (deque, mode) pair, renders the tables,
+// hotpathExperiment measures every deque kind, renders the tables,
 // writes the JSON snapshot, and — when checkPath names a previous snapshot
 // — enforces the 10% push/pop regression gate against it.
 func hotpathExperiment(nodeWork, reps int, outPath, checkPath string) {
@@ -482,24 +457,17 @@ func hotpathExperiment(nodeWork, reps int, outPath, checkPath string) {
 
 	thieves := 0
 	otb := table.New(fmt.Sprintf("deque hot path (best of %d reps)", reps),
-		"deque", "mode", "push+pop ns/op", "steal ns/op", "contended steal ns/op")
+		"deque", "push+pop ns/op", "steal ns/op", "contended steal ns/op")
 	for _, kind := range []string{"abp", "chaselev"} {
-		for _, relaxed := range []bool{false, true} {
-			mode := "seqcst"
-			if relaxed {
-				mode = "relaxed"
-			}
-			row := hotpathOpRow{
-				Deque:     kind,
-				Mode:      mode,
-				PushPopNs: benchPushPop(kind, relaxed, reps),
-				StealNs:   benchSteal(kind, relaxed, reps),
-			}
-			row.MultiStealNs, thieves = benchStealContended(kind, relaxed, reps)
-			rep.Ops = append(rep.Ops, row)
-			otb.Row(kind, mode, fmt.Sprintf("%.2f", row.PushPopNs), fmt.Sprintf("%.2f", row.StealNs),
-				fmt.Sprintf("%.2f", row.MultiStealNs))
+		row := hotpathOpRow{
+			Deque:     kind,
+			PushPopNs: benchPushPop(kind, reps),
+			StealNs:   benchSteal(kind, reps),
 		}
+		row.MultiStealNs, thieves = benchStealContended(kind, reps)
+		rep.Ops = append(rep.Ops, row)
+		otb.Row(kind, fmt.Sprintf("%.2f", row.PushPopNs), fmt.Sprintf("%.2f", row.StealNs),
+			fmt.Sprintf("%.2f", row.MultiStealNs))
 	}
 	otb.Render(os.Stdout)
 
@@ -510,29 +478,24 @@ func hotpathExperiment(nodeWork, reps int, outPath, checkPath string) {
 
 	gtb := table.New(fmt.Sprintf("end to end: fib(18) spawn tree (workers=%d, nodework=%d)",
 		runtime.GOMAXPROCS(0), nodeWork),
-		"deque", "mode", "time", "steals", "tasks/s")
+		"deque", "time", "steals", "tasks/s")
 	for _, k := range []struct {
 		name string
 		kind sched.DequeKind
 	}{{"abp", sched.DequeABP}, {"chaselev", sched.DequeChaseLev}} {
-		for _, relaxed := range []bool{false, true} {
-			row := hotpathGraph(k.name, k.kind, relaxed, nodeWork, reps)
-			rep.Graph = append(rep.Graph, row)
-			gtb.Row(row.Deque, row.Mode, time.Duration(row.ElapsedNs).Round(time.Microsecond),
-				row.Steals, fmt.Sprintf("%.0f", row.TasksPerSec))
-		}
+		row := hotpathGraph(k.name, k.kind, nodeWork, reps)
+		rep.Graph = append(rep.Graph, row)
+		gtb.Row(row.Deque, time.Duration(row.ElapsedNs).Round(time.Microsecond),
+			row.Steals, fmt.Sprintf("%.0f", row.TasksPerSec))
 	}
 	// The contender: same dag, same spin, GOMAXPROCS goroutines draining
 	// one shared channel instead of per-worker deques. Published alongside
 	// the stealing rows (graph rows are reported, not gated).
 	stdRow := stdlibGraphRow(nodeWork, reps)
 	rep.Graph = append(rep.Graph, stdRow)
-	gtb.Row(stdRow.Deque, stdRow.Mode, time.Duration(stdRow.ElapsedNs).Round(time.Microsecond),
+	gtb.Row(stdRow.Deque, time.Duration(stdRow.ElapsedNs).Round(time.Microsecond),
 		stdRow.Steals, fmt.Sprintf("%.0f", stdRow.TasksPerSec))
 	gtb.Render(os.Stdout)
-	fmt.Println("Go's sync/atomic is sequentially consistent, so RelaxedAtomics only demotes")
-	fmt.Println("the statically proven owner-side loads and counter RMWs to plain accesses;")
-	fmt.Println("steal ns/op is a control column (the top/age CAS is never relaxed).")
 
 	if writeOut {
 		blob, err := json.MarshalIndent(rep, "", "  ")
@@ -553,15 +516,17 @@ func hotpathExperiment(nodeWork, reps int, outPath, checkPath string) {
 	}
 }
 
-// hotpathCheck compares the fresh measurements — single-threaded push/pop
-// plus the contended multi-thief steal and multi-producer submit columns —
-// against a committed snapshot and reports pairs that slowed by more than
-// the 10% budget. Both sides are normalized by their own run's calibration
-// spin, so the comparison survives a change of machine; a snapshot without
-// calibration falls back to raw ns. Missing baseline columns are skipped
-// (new configurations are not regressions), which is also what carries the
-// gate across the snapshot transition that introduced the contended
-// columns.
+// hotpathCheck compares the fresh measurements against a committed
+// snapshot, row by deque kind, and reports columns that slowed by more
+// than the 10% budget. Both sides are normalized by their own run's
+// calibration spin, so the single-threaded push/pop comparison survives a
+// change of machine; a snapshot without calibration falls back to raw ns.
+// The contended columns (multi-thief steal, multi-producer submit) divide
+// work across real cores, so they are gated only against a snapshot taken
+// at the same GOMAXPROCS and skipped, with a line saying so, otherwise.
+// A deque with no baseline row is reported, not gated, but a check that
+// compared no push/pop row at all fails: it would otherwise pass by
+// gating nothing.
 func hotpathCheck(cur hotpathReport, checkPath string) bool {
 	data, err := os.ReadFile(checkPath)
 	if err != nil {
@@ -579,9 +544,9 @@ func hotpathCheck(cur hotpathReport, checkPath string) bool {
 	}
 	const budget = 1.10
 	ok := true
-	gate := func(name string, curNs, baseNs float64) {
+	gate := func(name string, curNs, baseNs float64) bool {
 		if baseNs <= 0 || curNs <= 0 {
-			return // column absent on one side: not a comparison
+			return false // column absent on one side: not a comparison
 		}
 		want := baseNs / baseCal
 		ratio := (curNs / curCal) / want
@@ -592,21 +557,43 @@ func hotpathCheck(cur hotpathReport, checkPath string) bool {
 		}
 		fmt.Printf("check %s: %.2f/spin vs baseline %.2f (%.2fx, budget %.2fx): %s\n",
 			name, curNs/curCal, want, ratio, budget, verdict)
+		return true
+	}
+	sameShape := cur.GOMAXPROCS == base.GOMAXPROCS
+	skip := func(name string) {
+		fmt.Printf("check %s: skipped (baseline GOMAXPROCS %d != %d)\n",
+			name, base.GOMAXPROCS, cur.GOMAXPROCS)
 	}
 	baseline := map[string]hotpathOpRow{}
 	for _, row := range base.Ops {
-		baseline[row.Deque+"/"+row.Mode] = row
+		baseline[row.Deque] = row
 	}
+	pushPops := 0
 	for _, row := range cur.Ops {
-		b, found := baseline[row.Deque+"/"+row.Mode]
+		b, found := baseline[row.Deque]
 		if !found {
+			fmt.Printf("check %s: no baseline row\n", row.Deque)
 			continue
 		}
-		gate(row.Deque+"/"+row.Mode+" push+pop", row.PushPopNs, b.PushPopNs)
-		gate(row.Deque+"/"+row.Mode+" contended steal", row.MultiStealNs, b.MultiStealNs)
+		if gate(row.Deque+" push+pop", row.PushPopNs, b.PushPopNs) {
+			pushPops++
+		}
+		if sameShape {
+			gate(row.Deque+" contended steal", row.MultiStealNs, b.MultiStealNs)
+		} else {
+			skip(row.Deque + " contended steal")
+		}
 	}
 	if cur.Contended != nil && base.Contended != nil {
-		gate("contended submit", cur.Contended.SubmitNs, base.Contended.SubmitNs)
+		if sameShape {
+			gate("contended submit", cur.Contended.SubmitNs, base.Contended.SubmitNs)
+		} else {
+			skip("contended submit")
+		}
+	}
+	if pushPops == 0 {
+		fmt.Fprintf(os.Stderr, "abpbench: %s has no push+pop row to compare against\n", checkPath)
+		return false
 	}
 	if !ok {
 		fmt.Fprintf(os.Stderr, "abpbench: hot-path columns regressed beyond 10%% of %s\n", checkPath)

@@ -38,8 +38,7 @@ type ChaseLev[T any] struct {
 	// pad resolves: top is thief-CAS-hot, bottom is owner-store-hot).
 	_ atomicx.CacheLinePad
 	// bottom's store in popBottom is the first half of a Dekker
-	// store(bottom)→load(top) handshake, so its stores stay sc; the
-	// owner's reloads are downgradeable (LoadOwner below).
+	// store(bottom)→load(top) handshake, so its stores stay sc.
 	bottom atomicx.SCInt64 // next index to push
 	// bottom is stored on every owner push/pop while thieves re-read the
 	// ring pointer on every steal; keeping the owner's store target off
@@ -48,9 +47,6 @@ type ChaseLev[T any] struct {
 	// array is published by the owner to thieves on grow; release/acquire
 	// suffices (no store→load shape involves it).
 	array atomicx.PublishPointer[clRing[T]]
-	// relaxed gates the proof-checked owner-side downgrades; set via
-	// SetRelaxed before the deque is shared.
-	relaxed bool
 }
 
 // clRing is a power-of-two circular buffer. Slots only publish a node
@@ -89,10 +85,6 @@ func NewChaseLev[T any]() *ChaseLev[T] {
 	return d
 }
 
-// SetRelaxed toggles the proof-gated owner-side atomics downgrades (plain
-// reloads of bottom and array on the owner paths). Call before sharing.
-func (d *ChaseLev[T]) SetRelaxed(relaxed bool) { d.relaxed = relaxed }
-
 var _ Dequer[int] = (*ChaseLev[int])(nil)
 
 // Len estimates the number of items (exact for the owner when quiescent).
@@ -111,15 +103,12 @@ func (d *ChaseLev[T]) Len() int {
 // always succeeds (the deque is unbounded) and returns true, satisfying the
 // Dequer interface. Growing allocates, but never waits on another process.
 //
-// bottom and array are written only by the owner, so their reloads here
-// are owner-relaxed; top stays a full atomic load (thieves CAS it).
-//
 //abp:owner deque owner: the worker this deque belongs to
 //abp:nonblocking
 func (d *ChaseLev[T]) PushBottom(node *T) bool {
-	b := d.bottom.LoadOwner(d.relaxed)
+	b := d.bottom.Load()
 	t := d.top.Load()
-	a := d.array.LoadOwner(d.relaxed)
+	a := d.array.Load()
 	if b-t >= a.size() {
 		a = a.grow(t, b)
 		d.array.Store(a)
@@ -132,15 +121,14 @@ func (d *ChaseLev[T]) PushBottom(node *T) bool {
 
 // PopBottom removes and returns the bottommost item, or nil when empty.
 //
-// The initial bottom reload and the array read are owner-relaxed; the
-// bottom STORE below stays sc — it is the Dekker store(bottom)→load(top)
+// The bottom STORE below stays sc — it is the Dekker store(bottom)→load(top)
 // half that races popTop's CAS for the last item.
 //
 //abp:owner deque owner: the worker this deque belongs to
 //abp:nonblocking
 func (d *ChaseLev[T]) PopBottom() *T {
-	b := d.bottom.LoadOwner(d.relaxed) - 1
-	a := d.array.LoadOwner(d.relaxed)
+	b := d.bottom.Load() - 1
+	a := d.array.Load()
 	d.bottom.Store(b)
 	t := d.top.Load()
 	if t > b {

@@ -51,10 +51,10 @@ import (
 // AbpOrder reports atomic variables whose declared ordering discipline is
 // stronger than the proven requirement (over-synchronized) or weaker than
 // the evidence demands (under-synchronized), plus loop-invariant atomic
-// loads and unproven owner-accessor call sites.
+// loads.
 var AbpOrder = &Analyzer{
 	Name: "abporder",
-	Doc:  "classifies the minimal memory-ordering discipline (plain/publish/sc) each atomic variable needs and reports declaration-vs-necessity mismatches, loop-invariant atomic loads, and unproven atomicx owner-accessor sites",
+	Doc:  "classifies the minimal memory-ordering discipline (plain/publish/sc) each atomic variable needs and reports declaration-vs-necessity mismatches and loop-invariant atomic loads",
 	Run:  runAbpOrder,
 }
 
@@ -92,8 +92,8 @@ func runAbpOrder(pass *Pass) error {
 		dekker:       map[*types.Var]bool{},
 	}
 	// Unlike abprace, collect over every function including context-less
-	// ones: hidden writers must be visible to the no-writer and owner
-	// proofs, and the mention-guard needs to know they exist.
+	// ones: hidden writers must be visible to the no-writer proof, and
+	// the mention-guard needs to know they exist.
 	for _, n := range o.graph.nodes {
 		o.collect(n)
 	}
@@ -512,10 +512,6 @@ func (o *orderAnalysis) checkSites() {
 
 	for _, s := range sites {
 		acc, v := s.acc, s.v
-		if acc.ownerOp {
-			o.checkOwnerOp(v, acc)
-			continue
-		}
 		// Loop-invariant atomic load: an atomic Load inside a CFG cycle
 		// of a variable nothing in the package ever writes (hidden
 		// writers included — context-less functions were collected). The
@@ -528,37 +524,6 @@ func (o *orderAnalysis) checkSites() {
 				acc.desc)
 		}
 	}
-}
-
-// checkOwnerOp verifies the single-writer proof at one LoadOwner/AddOwner
-// call site: the access must be receiver-direct inside an audited
-// //abp:owner context, and every write of the variable anywhere in the
-// package must itself be in an owner context (constructors included —
-// a write need not be receiver-direct, but it must be owned).
-func (o *orderAnalysis) checkOwnerOp(v *types.Var, acc *raceAccess) {
-	reason := ""
-	switch {
-	case !acc.recvDirect:
-		reason = "the access is not receiver-direct"
-	case !o.owned[acc.fn]:
-		reason = fmt.Sprintf("%s is not an //abp:owner context", acc.fn.name())
-	default:
-		for _, w := range o.accesses[v] {
-			if w.write && !o.owned[w.fn] {
-				reason = fmt.Sprintf("%s writes the variable outside any //abp:owner context", w.fn.name())
-				break
-			}
-		}
-		if reason == "" && v.Exported() {
-			reason = "the variable is exported, so writers outside the package are possible"
-		}
-	}
-	if reason == "" {
-		return
-	}
-	o.pass.Reportf(acc.pos,
-		"unproven owner accessor %s on %s: %s — the relaxed plain read is sound only under the single-writer owner contract (suppress with //abp:order-ignore <justification>)",
-		acc.op, acc.desc, reason)
 }
 
 // onCycle reports whether the access's CFG block lies on a cycle.

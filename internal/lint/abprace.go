@@ -62,12 +62,9 @@ type raceAccess struct {
 	// receiver (w.bot, not w.pool.done).
 	recvDirect bool
 	// op is the operation name at the access site ("Load", "Store",
-	// "Add", "CompareAndSwap", "LoadOwner", ...) when the access goes
-	// through sync/atomic or atomicx; "" for plain accesses.
+	// "Add", "CompareAndSwap", ...) when the access goes through
+	// sync/atomic or atomicx; "" for plain accesses.
 	op string
-	// ownerOp marks a relaxable atomicx owner accessor call site
-	// (LoadOwner/AddOwner), which abporder holds to the owner proof.
-	ownerOp bool
 	// onceVar identifies the sync.Once whose Do runs the enclosing
 	// literal, if any: Do bodies are mutually excluded and one-shot.
 	onceVar *types.Var
@@ -255,14 +252,13 @@ func (a *raceAnalysis) collectEscapes() {
 
 // accessMarks carries collect's Pass-A classification of expressions to
 // Pass B: which expressions sit in write position, which are operands of
-// atomic (or atomicx) operations and under what operation name, which are
-// relaxable owner-accessor receivers, and which are sync primitives.
+// atomic (or atomicx) operations and under what operation name, and which
+// are sync primitives.
 type accessMarks struct {
 	writes       map[ast.Expr]bool   // exprs in write position
 	atomicTarget map[ast.Expr]bool   // exprs accessed through sync/atomic or atomicx
 	atomicWrite  map[ast.Expr]bool   // ... and the op stores
 	atomicOp     map[ast.Expr]string // ... and the op's name
-	ownerOp      map[ast.Expr]bool   // receivers of atomicx LoadOwner/AddOwner
 	syncRecv     map[ast.Expr]bool   // receivers of sync.* method calls
 }
 
@@ -280,7 +276,6 @@ func (a *raceAnalysis) collect(fn *funcNode) {
 		atomicTarget: map[ast.Expr]bool{},
 		atomicWrite:  map[ast.Expr]bool{},
 		atomicOp:     map[ast.Expr]string{},
-		ownerOp:      map[ast.Expr]bool{},
 		syncRecv:     map[ast.Expr]bool{},
 	}
 	addrTaken := map[*ast.UnaryExpr]ast.Expr{}
@@ -413,25 +408,6 @@ func (a *raceAnalysis) classifyCall(fn *funcNode, call *ast.CallExpr, facts *fun
 				}
 			}
 		}
-	case isAtomicxOwnerMethod(callee):
-		// d.bot.LoadOwner(relaxed): a relaxable owner accessor. AddOwner
-		// writes (plain read of own last store + atomic store), LoadOwner
-		// reads. Both are atomic accesses for pair purposes — abporder
-		// separately demands the single-writer owner proof at every such
-		// site, which is what makes the relaxed plain read sound. Only
-		// AddOwner's (genuinely atomic) store yields a release fact; a
-		// relaxed LoadOwner provides no acquire semantics, so no fact.
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			t := elemBase(ast.Unparen(sel.X))
-			w := callee.Name() == "AddOwner"
-			m.atomicTarget[t] = true
-			m.atomicWrite[t] = w
-			m.atomicOp[t] = callee.Name()
-			m.ownerOp[t] = true
-			if v := leafVar(info, t); v != nil && w {
-				facts.atomicW = append(facts.atomicW, syncOp{v: v, node: node(call)})
-			}
-		}
 	case isAtomicxPlainMethod(callee):
 		// h.handoff.Set(t): a declared-plain access — the receiver chain
 		// is a plain write (Set) or plain read (Get), checked by the pair
@@ -546,7 +522,7 @@ func (a *raceAnalysis) fieldAccess(fn *funcNode, cfg *funcCFG, sel *ast.Selector
 	a.addAccess(&raceAccess{
 		v: v, fn: fn, node: at, pos: sel.Pos(),
 		write: write, atomic: isAtomic, recvDirect: recvDirect,
-		op: m.atomicOp[sel], ownerOp: m.ownerOp[sel],
+		op:      m.atomicOp[sel],
 		onceVar: a.onceVarOf(fn),
 		desc:    fmt.Sprintf("field %s of %s", v.Name(), typeName),
 	})
@@ -572,7 +548,7 @@ func (a *raceAnalysis) globalAccess(fn *funcNode, cfg *funcCFG, id *ast.Ident, m
 	a.addAccess(&raceAccess{
 		v: v, fn: fn, node: cfg.blockNodeAt(id.Pos()), pos: id.Pos(),
 		write: write, atomic: isAtomic,
-		op: m.atomicOp[id], ownerOp: m.ownerOp[id],
+		op:      m.atomicOp[id],
 		onceVar: a.onceVarOf(fn),
 		desc:    fmt.Sprintf("package variable %s", v.Name()),
 	})

@@ -6,7 +6,7 @@ import (
 	"go/types"
 )
 
-// This file is the flow-aware half of the abpvet engine: a per-function
+// This file is the flow-aware half of the abplint engine: a per-function
 // control-flow graph (CFG), a dominator computation over it, and a
 // reaching-definitions pass. PR 2's analyzers were pure AST walks, which is
 // enough for "does this call appear here" questions but not for ordering

@@ -12,8 +12,8 @@ import (
 
 // A Tool is one command-line front end over the analyzer suite. The whole
 // CLI (flag parsing, loading, running, emitting, exit status) lives here in
-// the library so cmd/abpvet and cmd/abprace are one-line wrappers and tests
-// drive the commands in-process.
+// the library so cmd/abplint is a one-line wrapper and tests drive the
+// command in-process.
 type Tool struct {
 	// Name prefixes diagnostics and names the SARIF driver.
 	Name string

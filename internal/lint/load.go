@@ -53,8 +53,8 @@ var (
 )
 
 // LoaderFor returns a process-wide shared loader for dir, creating it on
-// first use. Every Tool invocation rooted at the same directory — abpvet
-// and abprace back to back, or repeated in-process test runs — then shares
+// first use. Every Tool invocation rooted at the same directory — several
+// -only runs back to back, or repeated in-process test runs — then shares
 // one parse-and-type-check cache instead of re-checking the dependency
 // graph per invocation (BenchmarkAbpvetSharedLoader measures the saving).
 // The cache trusts the tree not to change underneath it within a process

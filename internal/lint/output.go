@@ -10,7 +10,7 @@ import (
 	"strings"
 )
 
-// This file is abpvet's machine-readable output layer: a position-resolved
+// This file is abplint's machine-readable output layer: a position-resolved
 // Finding record, a JSON report (which doubles as the -baseline file
 // format), and a minimal SARIF 2.1.0 emitter for code-scanning upload. The
 // emitters live in the library, not the command, so tests can round-trip
@@ -215,7 +215,7 @@ func WriteSARIF(w io.Writer, tool string, analyzers []*Analyzer, findings []Find
 }
 
 // UnusedIgnoreAnalyzer is the synthetic rule under which stale //abp:ignore
-// directives are reported by abpvet -unused-ignores. It is not part of
+// directives are reported by abplint -unused-ignores. It is not part of
 // All(): it has no Run of its own — the evidence comes from running the
 // real suite and seeing which directives suppressed nothing.
 var UnusedIgnoreAnalyzer = &Analyzer{

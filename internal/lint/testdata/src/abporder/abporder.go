@@ -212,30 +212,6 @@ func (s *spinner) Spin(n int) int64 {
 	return sum
 }
 
-// --- owner accessors: proven inside //abp:owner, rejected outside ---
-
-type ownerBox struct {
-	pos atomicx.SCUint32
-}
-
-// Bump reads the cursor with the relaxed owner accessor — sound here
-// because every write of pos sits in an owner context — and advances it
-// with a CAS (the arbitration that keeps pos at sc).
-//
-//abp:owner the box's single mutating goroutine
-func (b *ownerBox) Bump() uint32 {
-	cur := b.pos.LoadOwner(true)
-	if !b.pos.CompareAndSwap(cur, cur+1) {
-		return 0
-	}
-	return cur
-}
-
-// Peek uses the owner accessor from plain shared code.
-func (b *ownerBox) Peek() uint32 {
-	return b.pos.LoadOwner(true) // want `unproven owner accessor`
-}
-
 // --- flagged: a read-only package variable behind function-style atomics ---
 
 var tuning atomic.Int64 // want `plain access suffices`

@@ -38,9 +38,6 @@ type GraphConfig struct {
 	Seed int64
 	// Pin locks each worker to an OS thread.
 	Pin bool
-	// RelaxedAtomics enables the proof-gated owner-side deque downgrades
-	// (see Config.RelaxedAtomics); the E15 ablation toggles it.
-	RelaxedAtomics bool
 }
 
 // GraphResult reports a native dag execution.
@@ -109,13 +106,9 @@ func RunGraph(cfg GraphConfig) GraphResult {
 		case DequeMutex:
 			r.deques = append(r.deques, deque.NewMutexWithCapacity[dag.NodeID](n+1))
 		case DequeChaseLev:
-			cl := deque.NewChaseLev[dag.NodeID]()
-			cl.SetRelaxed(cfg.RelaxedAtomics)
-			r.deques = append(r.deques, cl)
+			r.deques = append(r.deques, deque.NewChaseLev[dag.NodeID]())
 		default:
-			abp := deque.NewWithCapacity[dag.NodeID](n + 1)
-			abp.SetRelaxed(cfg.RelaxedAtomics)
-			r.deques = append(r.deques, abp)
+			r.deques = append(r.deques, deque.NewWithCapacity[dag.NodeID](n+1))
 		}
 	}
 

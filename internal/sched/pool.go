@@ -139,15 +139,6 @@ type Config struct {
 	// detected stall episode. It must be safe to call concurrently with
 	// the run and must not block for long (it delays later detections).
 	OnStall func(StallReport)
-	// RelaxedAtomics enables the proof-gated hot-path downgrades: owner-side
-	// reloads of deque bottom indexes and per-worker counter updates use
-	// plain accesses instead of atomics where the abporder analyzer proves
-	// every write sits in a single-owner context (//abp:owner). Correctness
-	// is unaffected — the Dekker stores, CAS arbitration, and all
-	// cross-goroutine publication stay sequentially consistent; only
-	// owner-private re-reads and owner-private read-modify-writes relax.
-	// The E15 ablation (EXPERIMENTS.md) measures the difference.
-	RelaxedAtomics bool
 }
 
 // Task is the unit of work handled by the scheduler. Every task belongs to
@@ -272,9 +263,6 @@ type Worker struct {
 	// the static analyses do not chase (hence the waiver).
 	handoff atomicx.PlainPointer[Task] //abp:order-ignore ordered by the composed startSession->fleetManager->loop fork edges; the analyzer does not chase nested fork chains
 	run     *run                       // submission of the task currently executing (exec)
-	// relaxed mirrors Config.RelaxedAtomics: gates the owner-side counter
-	// downgrades (AddOwner below). Written once in New, before any sharing.
-	relaxed bool
 
 	parkCh chan struct{} // capacity-1 wake token (lifecycle.go)
 	// parked is half of the park/wake Dekker handshake
@@ -302,16 +290,15 @@ type Worker struct {
 	// progress ticks on every loop iteration and task completion; the
 	// stall watchdog (watchdog.go) reads it to tell a live worker from one
 	// frozen mid-operation. Written only by the worker's own goroutine
-	// (loop/exec/execOrDrop, all //abp:owner), so the increment relaxes to
-	// an owner read-modify-write under RelaxedAtomics; the store half stays
-	// atomic so the watchdog's reads are always safe.
+	// (loop/exec/execOrDrop, all //abp:owner); the watchdog's atomic reads
+	// are always safe.
 	progress atomicx.Publish64
 
 	// Per-worker counters, summed by Pool.Stats. Atomics so Stats is safe
 	// to call while the run is in flight. The Publish-declared ones are
-	// owner-only blind increments (AddOwner under RelaxedAtomics); the
-	// SC-declared ones are updated inside //abp:handshake carrier functions
-	// (Spawn, park), which abporder pins to full ordering.
+	// owner-only blind increments; the SC-declared ones are updated inside
+	// //abp:handshake carrier functions (Spawn, park), which abporder pins
+	// to full ordering.
 	tasksRun      atomicx.Publish64
 	spawns        atomicx.SCInt64
 	inlineRuns    atomicx.SCInt64
@@ -378,21 +365,16 @@ func New(cfg Config) *Pool {
 		case DequeMutex:
 			dq = deque.NewMutexWithCapacity[Task](cfg.DequeCapacity)
 		case DequeChaseLev:
-			cl := deque.NewChaseLev[Task]()
-			cl.SetRelaxed(cfg.RelaxedAtomics)
-			dq = cl
+			dq = deque.NewChaseLev[Task]()
 		default:
-			abp := deque.NewWithCapacity[Task](cfg.DequeCapacity)
-			abp.SetRelaxed(cfg.RelaxedAtomics)
-			dq = abp
+			dq = deque.NewWithCapacity[Task](cfg.DequeCapacity)
 		}
 		w := &Worker{
-			pool:    p,
-			id:      i,
-			dq:      dq,
-			rng:     rand.New(rand.NewSource(seed + int64(i)*1_000_003)),
-			parkCh:  make(chan struct{}, 1),
-			relaxed: cfg.RelaxedAtomics,
+			pool:   p,
+			id:     i,
+			dq:     dq,
+			rng:    rand.New(rand.NewSource(seed + int64(i)*1_000_003)),
+			parkCh: make(chan struct{}, 1),
 		}
 		if i >= cfg.Workers {
 			w.state.Store(workerRetired)
@@ -702,8 +684,8 @@ func (p *Pool) injectorBacklog() int64 {
 
 // stealOnce performs one steal attempt against a victim chosen per the
 // configured policy (uniformly random by default, Figure 3 line 16). The
-// steal counters are owner-only (this worker's goroutine is their sole
-// writer), so their increments relax under RelaxedAtomics.
+// steal counters are owner-only: this worker's goroutine is their sole
+// writer.
 //
 //abp:owner steal counters belong to the stealing worker's own goroutine
 //abp:nonblocking
@@ -732,11 +714,11 @@ func (w *Worker) stealOnce() *Task {
 	if w.id < n && v >= w.id {
 		v++
 	}
-	w.stealAttempts.AddOwner(w.relaxed, 1)
+	w.stealAttempts.Add(1)
 	fault.Point(fpStealBeforePopTop)
 	t := w.pool.workers[v].dq.PopTop()
 	if t != nil {
-		w.steals.AddOwner(w.relaxed, 1)
+		w.steals.Add(1)
 	}
 	return t
 }
@@ -757,7 +739,7 @@ func (w *Worker) execOrDrop(t *Task) {
 		} else {
 			w.pool.cancelledN.Add(1)
 		}
-		w.progress.AddOwner(w.relaxed, 1)
+		w.progress.Add(1)
 		if r.pending.Add(-1) == 0 {
 			r.complete() // no-op: the abort already finished the run
 		}
@@ -780,8 +762,8 @@ func (w *Worker) exec(t *Task) {
 	w.run = r
 	w.runTask(t, r)
 	w.run = prev
-	w.tasksRun.AddOwner(w.relaxed, 1)
-	w.progress.AddOwner(w.relaxed, 1)
+	w.tasksRun.Add(1)
+	w.progress.Add(1)
 	if r.pending.Add(-1) == 0 {
 		r.complete()
 	}
@@ -820,7 +802,7 @@ func (w *Worker) Pool() *Pool { return w.pool }
 // submission. It pushes the task onto the bottom of the caller's deque,
 // where it is available to thieves, and wakes a parked worker if one
 // exists; if the deque is full the task runs inline instead (correct, just
-// not stealable). The handshake directive makes abpvet verify the producer
+// not stealable). The handshake directive makes abplint verify the producer
 // half of the Dekker protocol: the push (PushBottom's internal atomic
 // store) must dominate the signalWork scan of the parked flags.
 //
